@@ -60,7 +60,9 @@ let runner_opts : Runner.options Term.t =
     Arg.(
       value & opt int 0
       & info [ "j"; "jobs" ] ~docs
-          ~doc:"Worker domains for the experiment grid (0 = all cores).")
+          ~doc:
+            "Worker domains for the experiment grid (0 = all cores; more \
+             than the cores available is lowered to that, with a warning).")
   in
   let journal =
     Arg.(
@@ -85,7 +87,12 @@ let runner_opts : Runner.options Term.t =
           ~doc:"Periodic done/total, cells/sec and ETA lines on stderr.")
   in
   let mk jobs journal resume progress =
-    { Runner.default_options with Runner.jobs; journal; resume; progress }
+    let cores = Domain.recommended_domain_count () in
+    let clamped = Orap_jobs.clamp ~cores jobs in
+    if clamped <> jobs then
+      Printf.eprintf "orap: --jobs %d exceeds the %d cores available; using %d\n%!"
+        jobs cores clamped;
+    { Runner.default_options with Runner.jobs = clamped; journal; resume; progress }
   in
   Term.(const mk $ jobs $ journal $ resume $ progress)
 

@@ -8,18 +8,24 @@ let run (aig : Aig.t) : Aig.t =
   let refs = Aig.ref_counts aig in
   let fresh = Aig.create ~num_pis:(Aig.num_pis aig) in
   let memo = Array.make (Aig.num_nodes aig) (-1) in
-  (* levels of the fresh AIG, maintained incrementally as nodes appear *)
-  let lev : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  (* levels of the fresh AIG, maintained incrementally as nodes appear;
+     0 for const and PIs, and for AND nodes not yet given one *)
+  let lev = ref (Array.make (Aig.num_nodes aig) 0) in
   let level_of l =
-    match Hashtbl.find_opt lev (Aig.node_of_lit l) with
-    | Some v -> v
-    | None -> 0 (* const or PI *)
+    let n = Aig.node_of_lit l in
+    if n < Array.length !lev then !lev.(n) else 0
   in
   let mk_and a b =
     let l = Aig.and_lit fresh a b in
     let n = Aig.node_of_lit l in
-    if Aig.is_and fresh n && not (Hashtbl.mem lev n) then
-      Hashtbl.replace lev n (1 + max (level_of a) (level_of b));
+    if Aig.is_and fresh n && level_of l = 0 then begin
+      if n >= Array.length !lev then begin
+        let grown = Array.make (2 * (n + 1)) 0 in
+        Array.blit !lev 0 grown 0 (Array.length !lev);
+        lev := grown
+      end;
+      !lev.(n) <- 1 + max (level_of a) (level_of b)
+    end;
     l
   in
   let rec lit_image l =

@@ -8,102 +8,154 @@
 
 type replacement = { leaves : int array (* node ids *); cubes : Isop.cube list }
 
-let grow_cut (aig : Aig.t) root ~cut_size =
-  (* leaves are node ids; expansion replaces an AND leaf by its fanins *)
-  let leaves = ref [] in
-  let add n = if not (List.mem n !leaves) then leaves := n :: !leaves in
-  add (Aig.node_of_lit (Aig.fanin0 aig root));
-  add (Aig.node_of_lit (Aig.fanin1 aig root));
+(* Per-pass scratch indexed by node id.  A mark array holds the id of the
+   root whose cut (or cone, memo, ref count) last touched the node, so
+   nothing is cleared between roots. *)
+type scratch = {
+  leaves : int array;  (** the current cut, in insertion order *)
+  leaf_mark : int array;
+  cone_mark : int array;
+  memo_mark : int array;
+  memo : int array;  (** offset of the node's truth table in [tables] *)
+  mutable tables : int array;  (** the current cone's truth tables *)
+  ref_mark : int array;
+  local_refs : int array;
+  vars : Truth.t array array;  (** [vars.(n).(i)] = [Truth.var n i] *)
+}
+
+let scratch (aig : Aig.t) ~cut_size =
+  let n = Aig.num_nodes aig and max_leaves = max 2 cut_size in
+  {
+    leaves = Array.make max_leaves 0;
+    leaf_mark = Array.make n 0;
+    cone_mark = Array.make n 0;
+    memo_mark = Array.make n 0;
+    memo = Array.make n 0;
+    tables = [||];
+    ref_mark = Array.make n 0;
+    local_refs = Array.make n 0;
+    vars = Array.init (max_leaves + 1) (fun k -> Array.init k (Truth.var k));
+  }
+
+(* Grows [root]'s cut into [sc.leaves] and returns its size.  Expansion
+   replaces an AND leaf by its fanins; the candidate adding the fewest new
+   leaves wins (reconvergence first), ties going to the newest leaf.  Leaf
+   order is the truth-table variable order. *)
+let grow_cut (aig : Aig.t) sc root ~cut_size =
+  let leaves = sc.leaves and mark = sc.leaf_mark in
+  let n = ref 0 in
+  let add l =
+    if mark.(l) <> root then begin
+      mark.(l) <- root;
+      leaves.(!n) <- l;
+      incr n
+    end
+  in
+  let fanin0 l = Aig.node_of_lit (Aig.fanin0 aig l)
+  and fanin1 l = Aig.node_of_lit (Aig.fanin1 aig l) in
+  add (fanin0 root);
+  add (fanin1 root);
   let expansions = ref 0 in
   let continue_ = ref true in
   while !continue_ && !expansions < 200 do
-    (* candidate leaf: an AND node whose expansion keeps the leaf budget;
-       prefer the one adding the fewest new leaves (reconvergence first) *)
-    let best = ref None in
-    List.iter
-      (fun l ->
-        if Aig.is_and aig l then begin
-          let f0 = Aig.node_of_lit (Aig.fanin0 aig l) in
-          let f1 = Aig.node_of_lit (Aig.fanin1 aig l) in
-          let added =
-            (if List.mem f0 !leaves then 0 else 1)
-            + if List.mem f1 !leaves || f1 = f0 then 0 else 1
-          in
-          let new_count = List.length !leaves - 1 + added in
-          if new_count <= cut_size then
-            match !best with
-            | Some (_, a) when a <= added -> ()
-            | _ -> best := Some (l, added)
-        end)
-      !leaves;
-    match !best with
-    | None -> continue_ := false
-    | Some (l, _) ->
+    let best = ref (-1) and best_added = ref max_int in
+    for j = !n - 1 downto 0 do
+      let l = leaves.(j) in
+      if Aig.is_and aig l then begin
+        let f0 = fanin0 l and f1 = fanin1 l in
+        let added =
+          (if mark.(f0) = root then 0 else 1)
+          + if mark.(f1) = root || f1 = f0 then 0 else 1
+        in
+        if !n - 1 + added <= cut_size && added < !best_added then begin
+          best := j;
+          best_added := added
+        end
+      end
+    done;
+    if !best < 0 then continue_ := false
+    else begin
       incr expansions;
-      leaves := List.filter (fun x -> x <> l) !leaves;
-      add (Aig.node_of_lit (Aig.fanin0 aig l));
-      add (Aig.node_of_lit (Aig.fanin1 aig l))
+      let l = leaves.(!best) in
+      mark.(l) <- 0;
+      Array.blit leaves (!best + 1) leaves !best (!n - !best - 1);
+      decr n;
+      add (fanin0 l);
+      add (fanin1 l)
+    end
   done;
-  Array.of_list (List.rev !leaves)
+  !n
 
-(* AND nodes strictly inside the cone (root included, leaves excluded) *)
-let cone_nodes (aig : Aig.t) root leaves =
-  let leaf n = Array.exists (( = ) n) leaves in
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
+(* marks the AND nodes strictly inside the cone (root included, leaves
+   excluded) and returns their number *)
+let cone_size (aig : Aig.t) sc root =
+  let count = ref 0 in
   let rec visit n =
-    if (not (Hashtbl.mem seen n)) && (not (leaf n)) && Aig.is_and aig n then begin
-      Hashtbl.replace seen n ();
-      acc := n :: !acc;
+    if sc.cone_mark.(n) <> root && sc.leaf_mark.(n) <> root && Aig.is_and aig n
+    then begin
+      sc.cone_mark.(n) <- root;
+      incr count;
       visit (Aig.node_of_lit (Aig.fanin0 aig n));
       visit (Aig.node_of_lit (Aig.fanin1 aig n))
     end
   in
   visit root;
-  !acc
+  !count
 
-let cone_truth (aig : Aig.t) root leaves =
-  let nvars = Array.length leaves in
-  let memo = Hashtbl.create 32 in
-  Array.iteri (fun i l -> Hashtbl.replace memo l (Truth.var nvars i)) leaves;
-  let rec eval n =
-    match Hashtbl.find_opt memo n with
-    | Some t -> t
-    | None ->
-      if Aig.is_const n then Truth.zero nvars
-      else begin
-        let lit_truth l =
-          let t = eval (Aig.node_of_lit l) in
-          if Aig.is_compl l then Truth.lognot t else t
-        in
-        let t =
-          Truth.logand (lit_truth (Aig.fanin0 aig n)) (lit_truth (Aig.fanin1 aig n))
-        in
-        Hashtbl.replace memo n t;
-        t
-      end
+(* truth table of [root] over the [nvars] leaves of its cut, whose cone
+   holds [cone] AND nodes; every table is built in place in [sc.tables] *)
+let cone_truth (aig : Aig.t) sc root ~cone nvars =
+  let w = Truth.num_words nvars and m = Truth.last_mask nvars in
+  if Array.length sc.tables < (cone + nvars) * w then
+    sc.tables <- Array.make ((cone + nvars) * w) 0;
+  let t = sc.tables and top = ref 0 in
+  let fresh () =
+    let o = !top in
+    top := o + w;
+    o
   in
-  eval root
+  for i = 0 to nvars - 1 do
+    let l = sc.leaves.(i) and o = fresh () in
+    Array.blit sc.vars.(nvars).(i).Truth.words 0 t o w;
+    sc.memo_mark.(l) <- root;
+    sc.memo.(l) <- o
+  done;
+  (* below the root every node is a leaf or an AND of the cone, since a
+     cut only ever expands AND leaves *)
+  let rec eval n =
+    if sc.memo_mark.(n) = root then sc.memo.(n)
+    else begin
+      let l0 = Aig.fanin0 aig n and l1 = Aig.fanin1 aig n in
+      let o0 = eval (Aig.node_of_lit l0) and o1 = eval (Aig.node_of_lit l1) in
+      let c0 = if Aig.is_compl l0 then m else 0
+      and c1 = if Aig.is_compl l1 then m else 0 in
+      let o = fresh () in
+      for k = 0 to w - 1 do
+        t.(o + k) <- (t.(o0 + k) lxor c0) land (t.(o1 + k) lxor c1)
+      done;
+      sc.memo_mark.(n) <- root;
+      sc.memo.(n) <- o;
+      o
+    end
+  in
+  { Truth.nvars; words = Array.sub t (eval root) w }
 
 (* nodes of the cone freed if the root is re-expressed over the leaves:
    ref-count decrement simulation confined to the cone *)
-let freed_nodes (aig : Aig.t) refs root cone =
-  let in_cone n = List.mem n cone in
-  let local = Hashtbl.create 16 in
-  let get n = match Hashtbl.find_opt local n with Some v -> v | None -> refs.(n) in
-  let set n v = Hashtbl.replace local n v in
+let freed_nodes (aig : Aig.t) sc refs root =
   let count = ref 0 in
   let rec deref n =
     incr count;
-    List.iter
-      (fun l ->
-        let c = Aig.node_of_lit l in
-        if Aig.is_and aig c && in_cone c then begin
-          let v = get c - 1 in
-          set c v;
-          if v = 0 then deref c
-        end)
-      [ Aig.fanin0 aig n; Aig.fanin1 aig n ]
+    deref_fanin (Aig.fanin0 aig n);
+    deref_fanin (Aig.fanin1 aig n)
+  and deref_fanin l =
+    let c = Aig.node_of_lit l in
+    if Aig.is_and aig c && sc.cone_mark.(c) = root then begin
+      let v = (if sc.ref_mark.(c) = root then sc.local_refs.(c) else refs.(c)) - 1 in
+      sc.ref_mark.(c) <- root;
+      sc.local_refs.(c) <- v;
+      if v = 0 then deref c
+    end
   in
   deref root;
   !count
@@ -111,19 +163,18 @@ let freed_nodes (aig : Aig.t) refs root cone =
 (** One refactoring pass.  Returns the rebuilt AIG. *)
 let run ?(cut_size = 10) ?(min_cone = 2) (aig : Aig.t) : Aig.t =
   let refs = Aig.ref_counts aig in
+  let sc = scratch aig ~cut_size in
   let replacements : (int, replacement) Hashtbl.t = Hashtbl.create 64 in
   for root = Aig.num_pis aig + 1 to Aig.num_nodes aig - 1 do
     if refs.(root) > 0 then begin
-      let leaves = grow_cut aig root ~cut_size in
-      if Array.length leaves >= 2 && Array.length leaves <= cut_size then begin
-        let cone = cone_nodes aig root leaves in
-        if List.length cone >= min_cone then begin
-          let truth = cone_truth aig root leaves in
-          let cubes = Isop.compute truth in
-          let cost = Isop.cost cubes in
-          let saved = freed_nodes aig refs root cone in
-          if cost < saved then
-            Hashtbl.replace replacements root { leaves; cubes }
+      let nleaves = grow_cut aig sc root ~cut_size in
+      if nleaves >= 2 && nleaves <= cut_size then begin
+        let cone = cone_size aig sc root in
+        if cone >= min_cone then begin
+          let cubes = Isop.compute (cone_truth aig sc root ~cone nleaves) in
+          if Isop.cost cubes < freed_nodes aig sc refs root then
+            Hashtbl.replace replacements root
+              { leaves = Array.sub sc.leaves 0 nleaves; cubes }
         end
       end
     end

@@ -103,15 +103,13 @@ let test_aig_complemented_output () =
 
 let prop_isop_to_aig_builds_function =
   qtest ~count:30 "Isop.to_aig realises the cover"
-    QCheck.(pair seed_gen (int_range 2 6))
+    QCheck.(pair seed_gen (int_range 1 10))
     (fun (seed, nvars) ->
       let rng = Prng.create seed in
-      let t = Truth.zero nvars in
-      let words = t.Truth.words in
-      for i = 0 to Array.length words - 1 do
-        words.(i) <- Prng.next64 rng
-      done;
-      let f = Truth.logand t (Truth.ones nvars) in
+      let f =
+        Truth.of_int64_words nvars
+          (Prng.word_array rng (((1 lsl nvars) + 63) / 64))
+      in
       let cubes = Isop.compute f in
       let g = Aig.create ~num_pis:nvars in
       let leaves = Array.init nvars (fun i -> Aig.pi_lit g i) in

@@ -51,15 +51,14 @@ let cone_of_output nl j =
 (* exhaustive truth table of a single-output netlist *)
 let truth_of_netlist nl =
   let ni = N.num_inputs nl in
-  let t = Truth.zero ni in
+  let words = Array.make (((1 lsl ni) + 63) / 64) 0L in
   for p = 0 to (1 lsl ni) - 1 do
     let inp = Array.init ni (fun i -> (p lsr i) land 1 = 1) in
     if (Sim.eval_bools nl inp).(0) then
-      t.Truth.words.(p lsr 6) <-
-        Int64.logor t.Truth.words.(p lsr 6)
-          (Int64.shift_left 1L (p land 63))
+      words.(p lsr 6) <-
+        Int64.logor words.(p lsr 6) (Int64.shift_left 1L (p land 63))
   done;
-  t
+  Truth.of_int64_words ni words
 
 (* SOP netlist over the same inputs from an ISOP cube cover *)
 let netlist_of_cubes ni cubes =

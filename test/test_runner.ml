@@ -316,6 +316,13 @@ let test_robustness_grid_deterministic () =
   check Alcotest.int "8 cells" 8 (List.length r1);
   check Alcotest.(list string) "jobs=1 and jobs=4 rows byte-identical" r1 r4
 
+let test_jobs_clamp () =
+  let clamp = Orap_jobs.clamp ~cores:2 in
+  check Alcotest.int "over the cores: lowered" 2 (clamp 4);
+  check Alcotest.int "at the cores: kept" 2 (clamp 2);
+  check Alcotest.int "under the cores: kept" 1 (clamp 1);
+  check Alcotest.int "0 still means all cores" 0 (clamp 0)
+
 let suite =
   ( "runner",
     [
@@ -339,6 +346,7 @@ let suite =
         test_map_grid_journal_requires_codec;
       tc "map_grid checkpoints before failing" `Quick
         test_map_grid_propagates_failure;
+      tc "--jobs clamped to the cores" `Quick test_jobs_clamp;
       tc "robustness grid deterministic at any job count" `Slow
         test_robustness_grid_deterministic;
     ] )

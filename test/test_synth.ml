@@ -56,17 +56,11 @@ let test_truth_cofactors_wide () =
 
 (* random truth table over [nvars] *)
 let random_truth rng nvars =
-  let t = Truth.zero nvars in
-  let words = t.Truth.words in
-  for i = 0 to Array.length words - 1 do
-    words.(i) <- Prng.next64 rng
-  done;
-  (* mask the partial last word (nvars < 6) *)
-  Truth.logand t (Truth.ones nvars)
+  Truth.of_int64_words nvars (Prng.word_array rng (((1 lsl nvars) + 63) / 64))
 
 let prop_isop_covers_function =
   qtest ~count:60 "ISOP cover equals the function"
-    QCheck.(pair seed_gen (int_range 1 8))
+    QCheck.(pair seed_gen (int_range 1 10))
     (fun (seed, nvars) ->
       let rng = Prng.create seed in
       let f = random_truth rng nvars in
@@ -87,6 +81,72 @@ let test_isop_cost () =
   let cubes = Isop.compute f in
   check Alcotest.int "two cubes" 2 (List.length cubes);
   check Alcotest.int "cost" 2 (Isop.cost cubes)
+
+(* Golden pin of the ISOP kernel: a digest of the cube lists, in order,
+   for seeded random functions of every width 1..10 (dense, sparse, and
+   with variables made irrelevant by cofactoring), plus the constants.
+   Any change to the split variable or the cube order moves the digest. *)
+let isop_golden_cases () =
+  let rng = Prng.create 7_2020 in
+  let cases = ref [] in
+  for nvars = 1 to 10 do
+    for k = 0 to 11 do
+      let f = random_truth rng nvars in
+      let f =
+        match k mod 4 with
+        | 0 -> f
+        | 1 -> Truth.logand f (random_truth rng nvars)
+        | 2 -> Truth.logor f (random_truth rng nvars)
+        | _ -> Truth.cofactor0 f (k mod nvars)
+      in
+      cases := f :: !cases
+    done;
+    cases := Truth.ones nvars :: Truth.zero nvars :: !cases
+  done;
+  List.rev !cases
+
+let cubes_repr cubes =
+  String.concat ";"
+    (List.map (fun c -> Printf.sprintf "%x/%x" c.Isop.pos c.Isop.neg) cubes)
+
+let test_isop_golden () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun f ->
+      Buffer.add_string b (cubes_repr (Isop.compute f));
+      Buffer.add_char b '\n')
+    (isop_golden_cases ());
+  check Alcotest.string "ISOP cube-list digest" "da856e2ef31cd1fa3b3b86c7e0038ee9"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Golden pin of the resynthesis script on the Table I netlists at scale
+   32: ANDs/levels of the original and of the weighted-locked netlist *)
+let test_abc_profiles_golden () =
+  let expected =
+    [ ("s38417", (413, 12), (528, 17)); ("s38584", (548, 16), (634, 25));
+      ("b17", (1478, 26), (1607, 31)); ("b18", (5121, 50), (5155, 50));
+      ("b19", (10598, 52), (10672, 52)); ("b20", (687, 23), (891, 34));
+      ("b21", (719, 24), (888, 28)); ("b22", (1355, 32), (1528, 35)) ]
+  in
+  List.iter
+    (fun (p : Orap_benchgen.Benchgen.profile) ->
+      let name = p.name in
+      let p = Orap_benchgen.Benchgen.scale ~factor:32 p in
+      let nl = Orap_benchgen.Benchgen.of_profile p in
+      let locked =
+        Orap_locking.Weighted.lock nl ~key_size:p.lfsr_size
+          ~ctrl_inputs:p.ctrl_inputs
+      in
+      let m x =
+        let r = Abc.evaluate x in
+        (r.Abc.ands, r.Abc.levels)
+      in
+      let pair = Alcotest.(pair int int) in
+      let _, orig, lck = List.find (fun (n, _, _) -> n = name) expected in
+      check pair (name ^ " original") orig (m nl);
+      check pair (name ^ " locked") lck
+        (m locked.Orap_locking.Locked.netlist))
+    Orap_benchgen.Benchgen.table1_profiles
 
 (* --- AIG --- *)
 
@@ -207,6 +267,8 @@ let suite =
       prop_isop_covers_function;
       tc "isop constants" `Quick test_isop_constants;
       tc "isop cost" `Quick test_isop_cost;
+      tc "isop golden cube lists" `Quick test_isop_golden;
+      tc "abc golden Table I profiles" `Slow test_abc_profiles_golden;
       tc "aig strash rules" `Quick test_aig_strash_rules;
       prop_aig_roundtrip;
       prop_aig_matches_simulation;
