@@ -176,30 +176,31 @@ let atpg_cmd =
 
 (* --- attack --- *)
 
+module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
-module Faulty = Orap_core.Faulty_oracle
 module Evaluate = Orap_attacks.Evaluate
 
+let attack_enum = List.map (fun a -> (a.Attack.slug, a)) Attack.all
+
+let oracle_arg ~doc =
+  let kinds =
+    List.map (fun k -> (E.Robustness.oracle_slug k, k)) E.Robustness.oracle_kinds
+  in
+  Arg.(
+    value
+    & opt (enum kinds) E.Robustness.Functional
+    & info [ "oracle" ] ~doc:(doc ^ ": " ^ doc_alts_enum kinds))
+
 let attack_cmd =
-  let run attack oracle seed gates key_size noise qbudget votes wall_clock
+  let run attack okind seed gates key_size noise qbudget votes wall_clock
       max_conflicts validate obs =
     with_obs obs @@ fun () ->
     let fx =
       E.Security.make_fixture ~seed ~num_gates:gates ~key_size ()
     in
-    let mk_oracle () =
-      let base =
-        match oracle with
-        | "functional" -> Orap_core.Oracle.functional fx.E.Security.locked
-        | "orap" ->
-          let chip = Orap_core.Chip.create fx.E.Security.basic in
-          Orap_core.Chip.unlock chip;
-          Orap_core.Oracle.scan_chip chip
-        | o -> failwith ("unknown oracle " ^ o)
-      in
-      let o = if noise > 0.0 then Faulty.bit_flip ~seed ~p:noise base else base in
-      let o = if qbudget > 0 then Faulty.query_budget ~limit:qbudget o else o in
-      if votes > 1 then Faulty.retry ~votes o else o
+    let oracle =
+      E.Robustness.with_faults ~seed ~noise ~query_budget:qbudget ~votes
+        (E.Security.oracle fx okind)
     in
     let budget =
       Budget.make
@@ -208,33 +209,8 @@ let attack_cmd =
         ()
     in
     let locked = fx.E.Security.locked in
-    let outcome, iters, queries =
-      match attack with
-      | "sat" ->
-        let r =
-          Orap_attacks.Sat_attack.run ~budget ~validate locked (mk_oracle ())
-        in
-        (r.Orap_attacks.Sat_attack.outcome,
-         r.Orap_attacks.Sat_attack.iterations, r.Orap_attacks.Sat_attack.queries)
-      | "appsat" ->
-        let r = Orap_attacks.Appsat.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Appsat.outcome,
-         r.Orap_attacks.Appsat.iterations, r.Orap_attacks.Appsat.queries)
-      | "ddip" ->
-        let r = Orap_attacks.Double_dip.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Double_dip.outcome,
-         r.Orap_attacks.Double_dip.iterations, r.Orap_attacks.Double_dip.queries)
-      | "hill" ->
-        let r = Orap_attacks.Hill_climb.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Hill_climb.outcome,
-         r.Orap_attacks.Hill_climb.flips, r.Orap_attacks.Hill_climb.queries)
-      | "sens" ->
-        let r = Orap_attacks.Key_sensitization.run ~budget locked (mk_oracle ()) in
-        (r.Orap_attacks.Key_sensitization.outcome,
-         r.Orap_attacks.Key_sensitization.sensitized_bits,
-         r.Orap_attacks.Key_sensitization.queries)
-      | a -> failwith ("unknown attack " ^ a)
-    in
+    let r = attack.Attack.run ~budget ~validate locked oracle in
+    let outcome = r.Attack.outcome in
     let verdict = Evaluate.of_outcome locked outcome in
     let shown =
       match outcome with
@@ -244,13 +220,15 @@ let attack_cmd =
         "false proof (exact only vs. the oracle's answers)"
       | o -> Budget.outcome_to_string o
     in
-    Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n" attack
-      oracle shown
-      (Evaluate.to_string verdict)
-      iters queries
+    Printf.printf "%s vs %s oracle: %s — %s (iters=%d, queries=%d)\n"
+      attack.Attack.slug (E.Robustness.oracle_slug okind) shown
+      (Evaluate.to_string verdict) r.Attack.iterations r.Attack.queries
   in
-  let attack = Arg.(value & opt string "sat" & info [ "attack" ] ~doc:"sat|appsat|ddip|hill|sens") in
-  let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"functional|orap") in
+  let attack =
+    Arg.(value & opt (enum attack_enum) Attack.sat
+         & info [ "attack" ] ~doc:("the attack: " ^ doc_alts_enum attack_enum))
+  in
+  let oracle = oracle_arg ~doc:"the oracle" in
   let seed = Arg.(value & opt int 12 & info [ "seed" ] ~doc:"fixture seed") in
   let gates = Arg.(value & opt int 500 & info [ "gates" ] ~doc:"fixture gate count") in
   let key_size = Arg.(value & opt int 32 & info [ "key-size" ] ~doc:"key bits") in
@@ -267,6 +245,27 @@ let attack_cmd =
 
 (* --- robustness --- *)
 
+(* "all", or comma-separated attack slugs *)
+let attacks_conv =
+  let parse = function
+    | "all" -> Ok Attack.all
+    | s -> (
+      let slugs = List.filter (( <> ) "") (String.split_on_char ',' s) in
+      match List.find_opt (fun x -> Option.is_none (Attack.of_slug x)) slugs with
+      | Some bad ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown attack %S, expected all or %s" bad
+               (String.concat ", " (List.map fst attack_enum))))
+      | None when slugs = [] -> Error (`Msg "empty attack list")
+      | None -> Ok (List.filter_map Attack.of_slug slugs))
+  in
+  let print ppf l =
+    Format.pp_print_string ppf
+      (String.concat "," (List.map (fun a -> a.Attack.slug) l))
+  in
+  Arg.conv (parse, print)
+
 let robustness_cmd =
   let parse_list ~what conv s =
     match
@@ -280,25 +279,6 @@ let robustness_cmd =
   let run seed gates key_size oracle noise qbudgets trials attacks iters
       wall_clock max_conflicts votes options obs =
     with_obs obs @@ fun () ->
-    let oracle =
-      match oracle with
-      | "functional" -> E.Robustness.Functional
-      | "orap" -> E.Robustness.Orap_scan
-      | o -> failwith ("unknown oracle " ^ o)
-    in
-    let attacks =
-      if attacks = "all" then E.Robustness.all_attacks
-      else
-        parse_list ~what:"attack"
-          (function
-            | "sat" -> E.Robustness.Sat
-            | "appsat" -> E.Robustness.Appsat_k
-            | "ddip" -> E.Robustness.Double_dip_k
-            | "hill" -> E.Robustness.Hill
-            | "sens" -> E.Robustness.Sensitize
-            | a -> failwith ("unknown attack " ^ a))
-          attacks
-    in
     let params =
       {
         E.Robustness.seed;
@@ -321,11 +301,17 @@ let robustness_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"fixture seed") in
   let gates = Arg.(value & opt int 300 & info [ "gates" ] ~doc:"fixture gate count") in
   let key_size = Arg.(value & opt int 16 & info [ "key-size" ] ~doc:"key bits") in
-  let oracle = Arg.(value & opt string "functional" & info [ "oracle" ] ~doc:"base oracle: functional|orap") in
+  let oracle = oracle_arg ~doc:"base oracle" in
   let noise = Arg.(value & opt string "0.0,0.02,0.1" & info [ "noise" ] ~doc:"comma-separated bit-flip probabilities") in
   let qbudgets = Arg.(value & opt string "0,2000" & info [ "query-budget" ] ~doc:"comma-separated query budgets (0 = unlimited)") in
   let trials = Arg.(value & opt int 3 & info [ "trials" ] ~doc:"noise seeds per cell") in
-  let attacks = Arg.(value & opt string "all" & info [ "attacks" ] ~doc:"all or comma-separated sat|appsat|ddip|hill|sens") in
+  let attacks =
+    Arg.(value & opt attacks_conv Attack.all
+         & info [ "attacks" ] ~absent:"all"
+             ~doc:
+               ("all, or a comma-separated list of: "
+               ^ String.concat ", " (List.map fst attack_enum)))
+  in
   let iters = Arg.(value & opt int 256 & info [ "max-iterations" ] ~doc:"DIP/loop iteration cap") in
   let wall_clock = Arg.(value & opt float 10.0 & info [ "wall-clock" ] ~doc:"per-attack deadline, seconds") in
   let max_conflicts = Arg.(value & opt int 0 & info [ "max-conflicts" ] ~doc:"cumulative solver-conflict budget (0 = none)") in

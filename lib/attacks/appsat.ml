@@ -6,12 +6,9 @@
 
 module Locked = Orap_locking.Locked
 module Oracle = Orap_core.Oracle
-module Solver = Orap_sat.Solver
-module Lit = Orap_sat.Lit
 module Prng = Orap_sim.Prng
-module Telemetry = Orap_telemetry.Telemetry
 
-type result = {
+type result = Dip_loop.result = {
   outcome : bool array Budget.outcome;
   iterations : int;
   queries : int;  (** oracle queries made by THIS run (delta, not lifetime) *)
@@ -19,119 +16,45 @@ type result = {
   elapsed_s : float;
 }
 
-let run ?(budget = Budget.default) ?max_iterations ?(probe_every = 8)
-    ?(probe_size = 32) ?(error_threshold = 0.01) ?(seed = 4242)
-    (locked : Locked.t) (oracle : Oracle.t) : result =
-  let budget =
-    match max_iterations with
-    | Some n -> { budget with Budget.max_iterations = n }
-    | None -> budget
-  in
-  let clock = Budget.start budget in
-  let st = Sat_attack.make_state locked in
+(* random queries per probe *)
+let probe_size = 32
+
+(* Before every [probe_every]-th DIP, probe the current constraint-consistent
+   key on random queries: settle for it when it errs on at most
+   [error_threshold] of them, otherwise add the failing probes as IO
+   constraints, as in AppSAT, and go on. *)
+let probe ~probe_every ~error_threshold ~seed locked oracle =
   let rng = Prng.create seed in
-  let nri = locked.Locked.num_regular_inputs in
-  let queries0 = Oracle.num_queries oracle in
-  let queries_here () = Oracle.num_queries oracle - queries0 in
-  let finish outcome iters =
-    { outcome; iterations = iters; queries = queries_here ();
-      conflicts = Solver.num_conflicts st.Sat_attack.solver;
-      elapsed_s = Budget.elapsed_s clock }
-  in
-  (* probe the current constraint-consistent key on random queries *)
-  let probe () =
-    match
-      Budget.solve clock
-        ~assumptions:[| Lit.negate st.Sat_attack.activate |]
-        st.Sat_attack.solver
-    with
-    | Error r -> Error (Budget.Exhausted r)
-    | Ok Solver.Unknown -> assert false (* Budget.solve never returns it *)
-    | Ok Solver.Unsat -> Error (Budget.Exhausted Budget.Inconsistent)
-    | Ok Solver.Sat ->
-      let key = Sat_attack.extract_key st st.Sat_attack.k1_vars in
-      Solver.backtrack_to_root st.Sat_attack.solver;
-      let errors = ref 0 in
-      let failing = ref [] in
-      let refused = ref None in
-      (try
-         for _ = 1 to probe_size do
-           let x = Prng.bool_array rng nri in
-           match Budget.query oracle x with
-           | Error r ->
-             refused := Some r;
-             raise Exit
-           | Ok y ->
-             if Locked.eval locked ~key ~inputs:x <> y then begin
-               incr errors;
-               failing := (x, y) :: !failing
-             end
-         done
-       with Exit -> ());
-      (match !refused with
-      | Some r -> Error (Budget.Oracle_refused r)
-      | None ->
-        Ok (key, float_of_int !errors /. float_of_int probe_size, !failing))
-  in
-  let rec loop iters =
-    match Budget.check_iteration clock iters with
-    | Some r -> finish (Budget.Exhausted r) iters
-    | None ->
-      if iters > 0 && iters mod probe_every = 0 then begin
-        match probe () with
-        | Error outcome -> finish outcome iters
-        | Ok (key, err, failing) ->
+  fun (r : Dip_loop.run) iters ->
+    if iters = 0 || iters mod probe_every <> 0 then None
+    else
+      match Dip_loop.consistent_key r with
+      | Error outcome -> Some outcome
+      | Ok key -> (
+        match Dip_loop.sample locked oracle rng probe_size key with
+        | Error reason -> Some (Budget.Oracle_refused reason)
+        | Ok samples ->
+          let failing = List.filter (fun (_, y, y') -> y' <> y) samples in
+          let err =
+            float_of_int (List.length failing) /. float_of_int probe_size
+          in
           if err <= error_threshold then
-            let stats =
-              Budget.stats_of clock ~iterations:iters
-                ~queries:(queries_here ()) ~estimated_error:err ()
-            in
-            finish (Budget.Approximate (key, stats)) iters
+            Some
+              (Budget.Approximate
+                 ( key,
+                   Budget.stats_of r.Dip_loop.clock ~iterations:iters
+                     ~queries:(r.Dip_loop.queries ()) ~estimated_error:err () ))
           else begin
-            (* failing probes double as constraints, as in AppSAT *)
-            List.iter (fun (x, y) -> Sat_attack.add_io_constraint st x y) failing;
-            dip_step iters
-          end
-      end
-      else dip_step iters
-  and dip_step iters =
-    match
-      Telemetry.span "appsat.iteration"
-        ~args:[ ("iter", Telemetry.Int iters) ]
-        (fun () ->
-          Budget.solve clock ~assumptions:[| st.Sat_attack.activate |]
-            st.Sat_attack.solver)
-    with
-    | Error r -> finish (Budget.Exhausted r) iters
-    | Ok Solver.Unknown -> assert false
-    | Ok Solver.Sat -> (
-      let dip = Sat_attack.extract_key st st.Sat_attack.x_vars in
-      Solver.backtrack_to_root st.Sat_attack.solver;
-      match Budget.query oracle dip with
-      | Error r -> finish (Budget.Oracle_refused r) iters
-      | Ok y ->
-        Sat_attack.add_io_constraint st dip y;
-        loop (iters + 1))
-    | Ok Solver.Unsat -> (
-      match
-        Budget.solve clock
-          ~assumptions:[| Lit.negate st.Sat_attack.activate |]
-          st.Sat_attack.solver
-      with
-      | Error r -> finish (Budget.Exhausted r) iters
-      | Ok Solver.Unknown -> assert false
-      | Ok Solver.Sat ->
-        let key = Sat_attack.extract_key st st.Sat_attack.k1_vars in
-        Solver.backtrack_to_root st.Sat_attack.solver;
-        finish (Budget.Exact key) iters
-      | Ok Solver.Unsat -> finish (Budget.Exhausted Budget.Inconsistent) iters)
-  in
-  Telemetry.span "appsat.run"
-    ~exit_args:(fun r ->
-      [
-        ("iterations", Telemetry.Int r.iterations);
-        ("queries", Telemetry.Int r.queries);
-        ("conflicts", Telemetry.Int r.conflicts);
-        ("outcome", Telemetry.String (Budget.outcome_to_string r.outcome));
-      ])
-    (fun () -> loop 0)
+            (* latest failure first, which fixes the solver's clause order *)
+            List.iter
+              (fun (x, y, _) -> r.Dip_loop.miter.Dip_loop.constrain x y)
+              (List.rev failing);
+            None
+          end)
+
+let run ?budget ?max_iterations ?(probe_every = 8) ?(error_threshold = 0.01)
+    ?(seed = 4242) (locked : Locked.t) (oracle : Oracle.t) : result =
+  Dip_loop.run ~name:"appsat" ?budget ?max_iterations
+    ~probe:(probe ~probe_every ~error_threshold ~seed locked oracle)
+    (fun () -> Sat_attack.make_state locked)
+    oracle

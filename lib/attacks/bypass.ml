@@ -59,17 +59,7 @@ let find_disagreements (locked : Locked.t) (oracle : Oracle.t) key key2 ~clock =
   let o2 =
     Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(iv_with key2))
   in
-  let diffs =
-    Array.map2
-      (fun a b ->
-        let d = Solver.new_var solver in
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.pos a; Lit.pos b ]);
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.neg a; Lit.neg b ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.pos a; Lit.neg b ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.neg a; Lit.pos b ]);
-        d)
-      o1 o2
-  in
+  let diffs = Tseitin.diff_vars solver o1 o2 in
   ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
   let patches = ref [] in
   let stopped = ref None in

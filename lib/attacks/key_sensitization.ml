@@ -40,17 +40,7 @@ let sensitize (locked : Locked.t) j : (bool array * bool array) option =
   in
   let o0 = Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(input_var kj0)) in
   let o1 = Tseitin.output_vars nl (Tseitin.encode solver nl ~input_var:(input_var kj1)) in
-  let diffs =
-    Array.map2
-      (fun v1 v2 ->
-        let d = Solver.new_var solver in
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.pos v1; Lit.pos v2 ]);
-        ignore (Solver.add_clause solver [ Lit.neg d; Lit.neg v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.pos v1; Lit.neg v2 ]);
-        ignore (Solver.add_clause solver [ Lit.pos d; Lit.neg v1; Lit.pos v2 ]);
-        d)
-      o0 o1
-  in
+  let diffs = Tseitin.diff_vars solver o0 o1 in
   ignore (Solver.add_clause solver (Array.to_list (Array.map Lit.pos diffs)));
   match Solver.solve solver with
   | Solver.Unsat | Solver.Unknown -> None

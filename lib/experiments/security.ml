@@ -20,11 +20,9 @@ module Chip = Orap_core.Chip
 module Oracle = Orap_core.Oracle
 module Pulse_gen = Orap_dft.Pulse_gen
 module Prng = Orap_sim.Prng
-module Sat_attack = Orap_attacks.Sat_attack
-module Appsat = Orap_attacks.Appsat
-module Double_dip = Orap_attacks.Double_dip
+module Attack = Orap_attacks.Attack
+module Budget = Orap_attacks.Budget
 module Hill_climb = Orap_attacks.Hill_climb
-module Key_sensitization = Orap_attacks.Key_sensitization
 module Evaluate = Orap_attacks.Evaluate
 
 type fixture = {
@@ -162,59 +160,33 @@ type attack_row = {
   queries : int;
 }
 
+(** The oracle an attacker queries: the unprotected circuit's function, or
+    the unlocked OraP chip through its scan chains. *)
+type oracle_kind = Functional | Orap_scan
+
+let oracle (fx : fixture) = function
+  | Functional -> Oracle.functional fx.locked
+  | Orap_scan ->
+    let chip = Chip.create fx.basic in
+    Chip.unlock chip;
+    Oracle.scan_chip chip
+
 let attack_matrix ?(max_iterations = 128) (fx : fixture) : attack_row list =
-  let mk_oracle = function
-    | `Functional -> Oracle.functional fx.locked
-    | `Orap ->
-      let chip = Chip.create fx.basic in
-      Chip.unlock chip;
-      Oracle.scan_chip chip
-  in
   let oracle_name = function
-    | `Functional -> "unprotected"
-    | `Orap -> "OraP scan"
+    | Functional -> "unprotected"
+    | Orap_scan -> "OraP scan"
   in
-  let rows = ref [] in
-  List.iter
+  let budget = { Budget.default with Budget.max_iterations } in
+  List.concat_map
     (fun okind ->
-      let o = mk_oracle okind in
-      let r = Sat_attack.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "SAT attack"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Sat_attack.outcome;
-          iterations = r.Sat_attack.iterations; queries = r.Sat_attack.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Appsat.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "AppSAT"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Appsat.outcome;
-          iterations = r.Appsat.iterations; queries = r.Appsat.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Double_dip.run ~max_iterations fx.locked o in
-      rows :=
-        { attack = "Double DIP"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Double_dip.outcome;
-          iterations = r.Double_dip.iterations; queries = r.Double_dip.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Hill_climb.run fx.locked o in
-      rows :=
-        { attack = "Hill climbing"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Hill_climb.outcome;
-          iterations = r.Hill_climb.flips; queries = r.Hill_climb.queries }
-        :: !rows;
-      let o = mk_oracle okind in
-      let r = Key_sensitization.run fx.locked o in
-      rows :=
-        { attack = "Key sensitization"; oracle_kind = oracle_name okind;
-          verdict = Evaluate.of_outcome fx.locked r.Key_sensitization.outcome;
-          iterations = r.Key_sensitization.sensitized_bits;
-          queries = r.Key_sensitization.queries }
-        :: !rows)
-    [ `Functional; `Orap ];
-  List.rev !rows
+      List.map
+        (fun (a : Attack.t) ->
+          let r = a.Attack.run ~budget ~validate:0 fx.locked (oracle fx okind) in
+          { attack = a.Attack.name; oracle_kind = oracle_name okind;
+            verdict = Evaluate.of_outcome fx.locked r.Attack.outcome;
+            iterations = r.Attack.iterations; queries = r.Attack.queries })
+        Attack.all)
+    [ Functional; Orap_scan ]
 
 let attack_report rows : Report.t =
   let t =

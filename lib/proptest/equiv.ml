@@ -31,17 +31,7 @@ let sat_equiv a b =
   let vb = Tseitin.encode solver b ~input_var:(fun i -> x_vars.(i)) in
   let oa = Tseitin.output_vars a va and ob = Tseitin.output_vars b vb in
   let add c = ignore (Solver.add_clause solver c) in
-  let diffs =
-    Array.map2
-      (fun v1 v2 ->
-        let d = Solver.new_var solver in
-        add [ Lit.neg d; Lit.pos v1; Lit.pos v2 ];
-        add [ Lit.neg d; Lit.neg v1; Lit.neg v2 ];
-        add [ Lit.pos d; Lit.pos v1; Lit.neg v2 ];
-        add [ Lit.pos d; Lit.neg v1; Lit.pos v2 ];
-        d)
-      oa ob
-  in
+  let diffs = Tseitin.diff_vars solver oa ob in
   add (Array.to_list (Array.map Lit.pos diffs));
   match Solver.solve solver with
   | Solver.Unknown -> assert false (* no conflict_limit: cannot happen *)

@@ -2,23 +2,7 @@
 
 type entry = { key : string; id : string; data : string }
 
-(* --- JSON string escaping (the subset we emit) --- *)
-
-let escape (s : string) : string =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Orap_telemetry.Telemetry.escape
 
 let format_line ~key ~id ~data =
   Printf.sprintf "{\"key\":\"%s\",\"id\":\"%s\",\"data\":\"%s\"}" (escape key)

@@ -3,6 +3,25 @@
 module N = Orap_netlist.Netlist
 module Gate = Orap_netlist.Gate
 
+(** Assert [v_out <-> a xor b] over solver variables. *)
+let add_xor (solver : Solver.t) v_out a b =
+  let add lits = ignore (Solver.add_clause solver lits) in
+  add [ Lit.neg v_out; Lit.pos a; Lit.pos b ];
+  add [ Lit.neg v_out; Lit.neg a; Lit.neg b ];
+  add [ Lit.pos v_out; Lit.pos a; Lit.neg b ];
+  add [ Lit.pos v_out; Lit.neg a; Lit.pos b ]
+
+(** [diff_vars solver a b]: one fresh variable per position [j], asserted
+    equal to [a.(j) xor b.(j)] — the "outputs differ" bits of a miter.
+    The caller adds its own clause over them. *)
+let diff_vars (solver : Solver.t) (a : int array) (b : int array) : int array =
+  Array.map2
+    (fun x y ->
+      let d = Solver.new_var solver in
+      add_xor solver d x y;
+      d)
+    a b
+
 (** [encode solver t ~input_var] creates one solver variable per netlist node
     and asserts the gate-consistency clauses.  Input nodes reuse the variable
     provided by [input_var pos] ([pos] is the position of the node in
@@ -40,13 +59,6 @@ let encode (solver : Solver.t) (t : N.t) ~(input_var : int -> int) : int array =
         Array.iter (fun f -> add [ o_t; Lit.neg f ]) fan;
         add (o_f :: Array.to_list (Array.map Lit.pos fan))
       in
-      (* v_out <-> a xor b, for given literal vars *)
-      let xor2 v_out a b =
-        add [ Lit.neg v_out; Lit.pos a; Lit.pos b ];
-        add [ Lit.neg v_out; Lit.neg a; Lit.neg b ];
-        add [ Lit.pos v_out; Lit.pos a; Lit.neg b ];
-        add [ Lit.pos v_out; Lit.neg a; Lit.pos b ]
-      in
       let equal_vars a b =
         add [ Lit.neg a; Lit.pos b ];
         add [ Lit.pos a; Lit.neg b ]
@@ -64,18 +76,18 @@ let encode (solver : Solver.t) (t : N.t) ~(input_var : int -> int) : int array =
           let acc = ref fan.(0) in
           for j = 1 to Array.length fan - 2 do
             let aux = Solver.new_var solver in
-            xor2 aux !acc fan.(j);
+            add_xor solver aux !acc fan.(j);
             acc := aux
           done;
           let last = fan.(Array.length fan - 1) in
           if neg_out then begin
             (* v = not (acc xor last)  <=>  (not v) = acc xor last *)
             let aux = Solver.new_var solver in
-            xor2 aux !acc last;
+            add_xor solver aux !acc last;
             add [ Lit.neg v; Lit.neg aux ];
             add [ Lit.pos v; Lit.pos aux ]
           end
-          else xor2 v !acc last
+          else add_xor solver v !acc last
         end
       in
       (match k with

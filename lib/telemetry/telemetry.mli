@@ -102,6 +102,11 @@ val counter_sample : string -> float -> unit
 
 (** {1 Rendering} *)
 
+(** [s] escaped for the inside of a JSON string literal: quote, backslash,
+    [\n], [\r], [\t] and other control bytes become escapes; every other
+    byte is copied. *)
+val escape : string -> string
+
 (** The event as a single-line Chrome trace_event JSON object — the JSONL
     sink's line format. *)
 val event_to_json : event -> string

@@ -301,7 +301,7 @@ let test_robustness_grid_deterministic () =
       noise_levels = [ 0.0; 0.05 ];
       query_budgets = [ 0; 300 ];
       trials = 2;
-      attacks = [ E.Robustness.Hill; E.Robustness.Sensitize ];
+      attacks = [ Orap_attacks.Attack.hill; Orap_attacks.Attack.sens ];
       max_iterations = 32;
       wall_clock_s = 120.0 (* generous: no timeout nondeterminism *);
     }
