@@ -1,7 +1,8 @@
 (** orap — command-line front end.
 
-    Subcommands: generate, lock, atpg, attack, table1, table2, security,
-    trojans.  Run [orap <cmd> --help] for per-command options. *)
+    Subcommands: generate, lock, atpg, attack, robustness, table1, table2,
+    security, trojans, ablation, scanflow, tracecheck, export.  Run
+    [orap <cmd> --help] for per-command options. *)
 
 open Cmdliner
 module N = Orap_netlist.Netlist

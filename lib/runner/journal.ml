@@ -8,68 +8,20 @@ let format_line ~key ~id ~data =
   Printf.sprintf "{\"key\":\"%s\",\"id\":\"%s\",\"data\":\"%s\"}" (escape key)
     (escape id) (escape data)
 
-(* --- strict line parser for exactly the object shape we emit --- *)
-
-exception Bad
-
+(* the emitted shape: one object whose key/id/data fields are strings *)
 let parse_line (line : string) : entry option =
-  let n = String.length line in
-  let pos = ref 0 in
-  let peek () = if !pos < n then line.[!pos] else raise Bad in
-  let advance () = incr pos in
-  let expect c = if peek () <> c then raise Bad else advance () in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 32 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        (match peek () with
-        | '"' -> Buffer.add_char b '"'; advance ()
-        | '\\' -> Buffer.add_char b '\\'; advance ()
-        | 'n' -> Buffer.add_char b '\n'; advance ()
-        | 'r' -> Buffer.add_char b '\r'; advance ()
-        | 't' -> Buffer.add_char b '\t'; advance ()
-        | 'u' ->
-          advance ();
-          if !pos + 4 > n then raise Bad;
-          let hex = String.sub line !pos 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c when c < 0x100 -> c
-            | Some _ | None -> raise Bad
-          in
-          Buffer.add_char b (Char.chr code);
-          pos := !pos + 4
-        | _ -> raise Bad);
-        go ()
-      | c -> Buffer.add_char b c; advance (); go ()
+  let module Trace = Orap_telemetry.Trace in
+  match Trace.parse_object line with
+  | Error _ -> None
+  | Ok fields -> (
+    let get k =
+      match List.assoc_opt k fields with
+      | Some (Trace.Jstring s) -> Some s
+      | _ -> None
     in
-    go ();
-    Buffer.contents b
-  in
-  try
-    expect '{';
-    let fields = ref [] in
-    let rec members () =
-      let k = parse_string () in
-      expect ':';
-      let v = parse_string () in
-      fields := (k, v) :: !fields;
-      match peek () with
-      | ',' -> advance (); members ()
-      | '}' -> advance ()
-      | _ -> raise Bad
-    in
-    members ();
-    if !pos <> n then raise Bad;
-    let get k = List.assoc_opt k !fields in
     match (get "key", get "id", get "data") with
     | Some key, Some id, Some data -> Some { key; id; data }
-    | _ -> None
-  with Bad | Invalid_argument _ -> None
+    | _ -> None)
 
 (* --- file I/O --- *)
 

@@ -9,8 +9,7 @@
 
     Instruments are interned by name: [counter "x"] returns the same cell
     everywhere, so instrumentation sites need no shared setup.  The whole
-    registry snapshots to JSON for the [--metrics FILE] flag and the
-    [BENCH_*.json] summary blocks. *)
+    registry snapshots to JSON for the [--metrics FILE] flag. *)
 
 type counter
 type gauge

@@ -210,6 +210,11 @@ let event_of_fields (fields : (string * json) list) : Telemetry.event =
   if dur_us < 0.0 then raise (Bad "negative duration");
   { Telemetry.phase; name; ts_us; dur_us; tid; args }
 
+let parse_object line =
+  match parse_json_line line with
+  | fields -> Ok fields
+  | exception Bad reason -> Error reason
+
 let parse_line line =
   match event_of_fields (parse_json_line line) with
   | e -> Ok e

@@ -15,6 +15,20 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
+(** One JSON value as {!parse_object} reads it. *)
+type json =
+  | Jstring of string
+  | Jnumber of float * bool  (** value, had a fractional/exponent part *)
+  | Jbool of bool
+  | Jnull
+  | Jobject of (string * json) list
+
+(** Parse a line holding exactly one JSON object whose values are scalars
+    or (one level deep) objects of scalars; fields in line order.
+    [Error reason] on anything else: duplicate keys, trailing bytes, a bad
+    escape, a raw control character in a string, ... *)
+val parse_object : string -> ((string * json) list, string) result
+
 (** Parse one line.  [Error reason] if the line deviates from the emitted
     format in any way (unknown key, missing field, trailing bytes, bad
     escape, [dur] on a non-span, ...). *)

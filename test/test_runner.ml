@@ -128,6 +128,9 @@ let test_journal_rejects_garbage () =
        "{\"key\":\"a\",\"id\":\"b\",\"data\":\"c\"}x" = None);
   check Alcotest.bool "missing field" true
     (Journal.parse_line "{\"key\":\"a\",\"id\":\"b\"}" = None);
+  check Alcotest.bool "duplicate key" true
+    (Journal.parse_line
+       "{\"key\":\"a\",\"id\":\"b\",\"data\":\"c\",\"data\":\"d\"}" = None);
   match Journal.parse_line (Journal.format_line ~key:"k" ~id:"i" ~data:"d") with
   | Some e ->
     check Alcotest.string "format/parse key" "k" e.Journal.key;
