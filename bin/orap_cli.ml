@@ -373,9 +373,12 @@ let security_cmd =
       f3.E.Security.responses_differ_from_basic;
     E.Report.print (E.Security.attack_report (E.Security.attack_matrix fx));
     Printf.printf "S3 hill-climb on locked test responses: %s\n"
-      (Orap_attacks.Evaluate.to_string (E.Security.hill_climb_on_test_responses fx))
+      (Orap_attacks.Evaluate.to_string (E.Security.hill_climb_on_test_responses fx));
+    E.Report.print (E.Security.structural fx)
   in
-  Cmd.v (Cmd.info "security" ~doc:"Figs. 1-3 behaviour and the attack matrix")
+  Cmd.v
+    (Cmd.info "security"
+       ~doc:"Figs. 1-3 behaviour, the attack matrix and the structural attacks")
     Term.(const run $ const ())
 
 let trojans_cmd =
@@ -448,13 +451,24 @@ let tracecheck_cmd =
 let export_cmd =
   let run input out =
     let nl = read_netlist input in
-    Orap_netlist.Verilog.print_to_file out nl;
-    Printf.printf "wrote %s (structural Verilog, %d gates)\n" out
-      (N.gate_count nl)
+    let format, text =
+      if Filename.check_suffix out ".dot" then
+        ("Graphviz", Orap_netlist.Dot.of_netlist nl)
+      else ("structural Verilog", Orap_netlist.Verilog.of_netlist nl)
+    in
+    Out_channel.with_open_text out (fun oc -> output_string oc text);
+    Printf.printf "wrote %s (%s, %d gates)\n" out format (N.gate_count nl)
   in
   let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"BENCH") in
-  let out = Arg.(value & opt string "out.v" & info [ "o"; "output" ] ~doc:"output file") in
-  Cmd.v (Cmd.info "export" ~doc:"Convert a .bench netlist to structural Verilog")
+  let out =
+    Arg.(
+      value & opt string "out.v"
+      & info [ "o"; "output" ]
+          ~doc:"Output file: Graphviz when it ends in .dot, else Verilog.")
+  in
+  Cmd.v
+    (Cmd.info "export"
+       ~doc:"Convert a .bench netlist to structural Verilog or Graphviz")
     Term.(const run $ input $ out)
 
 let main =

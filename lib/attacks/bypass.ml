@@ -118,12 +118,7 @@ let build_patched (locked : Locked.t) key patches : N.t =
             (if key.(pos - nri) then Gate.Const1 else Gate.Const0)
             [||])
     inputs;
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | k ->
-      map.(i) <- N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i))
-  done;
+  let map = N.copy_into ~map_inputs:false b nl map in
   (* hit_j = (x == pattern_j) *)
   let hits =
     List.map
@@ -161,12 +156,7 @@ let build_patched (locked : Locked.t) key patches : N.t =
     disagreeing inputs the attacker is willing to enumerate (the attack is
     only viable when the disagreement set is tiny). *)
 let run ?(budget = { Budget.default with Budget.max_iterations = 32 })
-    ?max_patches ?(seed = 97) (locked : Locked.t) (oracle : Oracle.t) : result =
-  let budget =
-    match max_patches with
-    | Some n -> { budget with Budget.max_iterations = n }
-    | None -> budget
-  in
+    ?(seed = 97) (locked : Locked.t) (oracle : Oracle.t) : result =
   let clock = Budget.start budget in
   let queries0 = Oracle.num_queries oracle in
   let rng = Orap_sim.Prng.create seed in

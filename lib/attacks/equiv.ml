@@ -132,3 +132,26 @@ let with_fixed_inputs nl assignments =
   let map = N.copy_into ~map_inputs:false b nl map in
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   N.Builder.finish b
+
+let widen original nl =
+  let extra = N.num_inputs nl - N.num_inputs original in
+  if extra < 0 then
+    incomparablef "widen: %d inputs, fewer than the original's %d"
+      (N.num_inputs nl) (N.num_inputs original);
+  let b = N.Builder.create () in
+  let map = N.copy_into b original (Array.make (N.num_nodes original) (-1)) in
+  for _ = 1 to extra do
+    ignore (N.Builder.add_input b)
+  done;
+  Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs original);
+  N.Builder.finish b
+
+let agrees_on_random original nl =
+  let original = widen original nl in
+  let rng = Orap_sim.Prng.create 77 in
+  let ok = ref true in
+  for _ = 1 to 128 do
+    let inp = Orap_sim.Prng.bool_array rng (N.num_inputs nl) in
+    if Sim.eval_bools nl inp <> Sim.eval_bools original inp then ok := false
+  done;
+  !ok

@@ -43,3 +43,15 @@ val counterexample_valid :
     circuit directly comparable to the original. *)
 val with_fixed_inputs :
   Orap_netlist.Netlist.t -> (int * bool) list -> Orap_netlist.Netlist.t
+
+(** [widen original nl]: [original] with unread inputs appended until it
+    has as many as [nl], to face a repaired netlist that still carries its
+    leftover key inputs after the original ones.  Raises [Incomparable] if
+    [nl] has fewer inputs. *)
+val widen : Orap_netlist.Netlist.t -> Orap_netlist.Netlist.t -> Orap_netlist.Netlist.t
+
+(** [agrees_on_random original nl]: do the two agree on 128 random
+    patterns?  [nl] may carry extra trailing inputs (see {!widen}); they
+    are driven randomly too.  Cheap, and blind to point-function
+    differences: {!sat_equiv} decides. *)
+val agrees_on_random : Orap_netlist.Netlist.t -> Orap_netlist.Netlist.t -> bool

@@ -71,49 +71,11 @@ let attack (locked : Locked.t) : result =
   List.iter (fun (g, keep) -> Hashtbl.replace splice_of g keep) splices;
   let b = N.Builder.create ~size_hint:(N.num_nodes nl) () in
   let map = Array.make (N.num_nodes nl) (-1) in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> map.(i) <- N.Builder.add_input b
-    | k -> (
-      match Hashtbl.find_opt splice_of i with
-      | Some keep -> map.(i) <- map.(keep)
-      | None ->
-        map.(i) <-
-          N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i)))
-  done;
+  let node i copy =
+    match Hashtbl.find_opt splice_of i with
+    | Some keep -> map.(keep)
+    | None -> copy ()
+  in
+  let map = N.copy_into ~node b nl map in
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   { netlist = N.Builder.finish b; removed_key_gates = List.length splices }
-
-(** Structured entry point: removal under the shared outcome type.  The
-    attack is purely structural — it fails only by identifying nothing. *)
-let run ?(budget = Budget.default) (locked : Locked.t) :
-    N.t Budget.outcome * result =
-  let clock = Budget.start budget in
-  let r = attack locked in
-  let outcome =
-    if r.removed_key_gates = 0 then
-      Budget.Exhausted
-        (Budget.No_progress "no structurally identifiable key gates")
-    else
-      Budget.Approximate
-        (r.netlist, Budget.stats_of clock ~iterations:r.removed_key_gates ~queries:0 ())
-  in
-  (outcome, r)
-
-(** Does the removal recover the original function?  (Checked on random
-    patterns over the original inputs; the removed netlist still carries
-    the dangling key inputs, which are driven arbitrarily.) *)
-let recovers_original ?(seed = 77) ?(n = 128) (locked : Locked.t) (r : result) :
-    bool =
-  let rng = Orap_sim.Prng.create seed in
-  let nri = locked.Locked.num_regular_inputs in
-  let total = N.num_inputs r.netlist in
-  let ok = ref true in
-  for _ = 1 to n do
-    let inp = Orap_sim.Prng.bool_array rng total in
-    let base = Array.sub inp 0 nri in
-    let got = Orap_sim.Sim.eval_bools r.netlist inp in
-    let want = Orap_sim.Sim.eval_bools locked.Locked.original base in
-    if got <> want then ok := false
-  done;
-  !ok

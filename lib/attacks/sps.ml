@@ -93,40 +93,11 @@ let attack ?(seed = 2024) ?(words = 64) ?(epsilon = 0.01) (locked : Locked.t) :
     let constant = best.probability < 0.5 in
     (* rebuild with the skewed node tied to its constant *)
     let b = N.Builder.create ~size_hint:(N.num_nodes nl) () in
-    let map = Array.make (N.num_nodes nl) (-1) in
-    for i = 0 to N.num_nodes nl - 1 do
-      match N.kind nl i with
-      | Gate.Input -> map.(i) <- N.Builder.add_input b
-      | k ->
-        if i = best.node then
-          map.(i) <-
-            N.Builder.add_node b (if constant then Gate.Const0 else Gate.Const1) [||]
-        else
-          map.(i) <-
-            N.Builder.add_node b k (Array.map (fun f -> map.(f)) (N.fanins nl i))
-    done;
+    let node i copy =
+      if i = best.node then
+        N.Builder.add_node b (if constant then Gate.Const0 else Gate.Const1) [||]
+      else copy ()
+    in
+    let map = N.copy_into ~node b nl (Array.make (N.num_nodes nl) (-1)) in
     Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
     Some (N.Builder.finish b, best)
-
-type result = {
-  outcome : N.t Budget.outcome;  (** the repaired netlist, when found *)
-  report : report;
-  finding : finding option;  (** the signal that was removed *)
-}
-
-(** Structured entry point: run the analysis and removal under a budget
-    (wall-clock only — SPS is simulation-based, no oracle, no solver). *)
-let run ?(budget = Budget.default) ?(seed = 2024) ?(words = 64)
-    ?(epsilon = 0.01) (locked : Locked.t) : result =
-  let clock = Budget.start budget in
-  let report = analyze ~seed ~words ~epsilon locked.Locked.netlist in
-  match attack ~seed ~words ~epsilon locked with
-  | None ->
-    { outcome =
-        Budget.Exhausted
-          (Budget.No_progress "no skewed internal signal to remove");
-      report; finding = None }
-  | Some (repaired, best) ->
-    let stats = Budget.stats_of clock ~iterations:words ~queries:0 () in
-    { outcome = Budget.Approximate (repaired, stats); report;
-      finding = Some best }

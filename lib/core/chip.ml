@@ -190,11 +190,6 @@ let scan_shift t ~scan_in : bool =
   write_cell t cells.(0) scan_in;
   out
 
-(** Shift a whole vector in (first element enters first / ends deepest) and
-    return the bits shifted out. *)
-let scan_in_out t (bits : bool array) : bool array =
-  Array.map (fun b -> scan_shift t ~scan_in:b) bits
-
 (** Capture cycle in scan mode: the state FFs load their functional inputs
     (computed under the currently effective key); the key register holds. *)
 let capture t ~(ext_inputs : bool array) : bool array =

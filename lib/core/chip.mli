@@ -62,7 +62,6 @@ val unlock : t -> unit
 val chain_cells : t -> Orap_dft.Scan.cell array
 
 val scan_shift : t -> scan_in:bool -> bool
-val scan_in_out : t -> bool array -> bool array
 
 (** Capture cycle: the state FFs load their functional inputs; the key
     register holds. *)

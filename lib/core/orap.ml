@@ -83,8 +83,6 @@ let num_ffs t = t.config.num_ffs
     the trailing pseudo-inputs) and [outputs - num_ffs] external POs (the FF
     next-state functions are the trailing pseudo-outputs). *)
 let num_ext_inputs t = t.locked.Locked.num_regular_inputs - t.config.num_ffs
-let num_ext_outputs t =
-  N.num_outputs t.locked.Locked.netlist - t.config.num_ffs
 
 (* full combinational evaluation: ext inputs ++ ff values ++ key *)
 let comb_eval t ~key ~ext ~ffs =

@@ -48,7 +48,6 @@ val protect : ?config:config -> Orap_locking.Locked.t -> t
 val key_size : t -> int
 val num_ffs : t -> int
 val num_ext_inputs : t -> int
-val num_ext_outputs : t -> int
 val unlock_cycles : t -> int
 
 (** Combinational evaluation of the locked core at a given key. *)

@@ -9,7 +9,10 @@
       while unlocking (freezing the FFs corrupts it).
     - S1: SAT attack and variants against a functional (unprotected) oracle
       vs. the OraP scan oracle.
-    - S3: hill climbing on locked test responses and key sensitization. *)
+    - S3: hill climbing on locked test responses and key sensitization.
+    - S4: the structural attacks of Section II-A — bypass [12], SPS and
+      removal [9] — each repaired netlist checked against the original on
+      random patterns and by a SAT miter. *)
 
 module N = Orap_netlist.Netlist
 module Benchgen = Orap_benchgen.Benchgen
@@ -24,6 +27,10 @@ module Attack = Orap_attacks.Attack
 module Budget = Orap_attacks.Budget
 module Hill_climb = Orap_attacks.Hill_climb
 module Evaluate = Orap_attacks.Evaluate
+module Equiv = Orap_attacks.Equiv
+module Bypass = Orap_attacks.Bypass
+module Sps = Orap_attacks.Sps
+module Removal = Orap_attacks.Removal
 
 type fixture = {
   nl : N.t;
@@ -164,12 +171,14 @@ type attack_row = {
     the unlocked OraP chip through its scan chains. *)
 type oracle_kind = Functional | Orap_scan
 
+let scan_oracle design =
+  let chip = Chip.create design in
+  Chip.unlock chip;
+  Oracle.scan_chip chip
+
 let oracle (fx : fixture) = function
   | Functional -> Oracle.functional fx.locked
-  | Orap_scan ->
-    let chip = Chip.create fx.basic in
-    Chip.unlock chip;
-    Oracle.scan_chip chip
+  | Orap_scan -> scan_oracle fx.basic
 
 let attack_matrix ?(max_iterations = 128) (fx : fixture) : attack_row list =
   let oracle_name = function
@@ -220,3 +229,75 @@ let hill_climb_on_test_responses (fx : fixture) : Evaluate.verdict =
   in
   let r = Hill_climb.run_on_responses fx.locked pairs in
   Evaluate.of_outcome fx.locked r.Hill_climb.outcome
+
+(* --- S4: structural attacks --- *)
+
+(** Bypass on SARLock as wide as the inputs and on the fixture's weighted
+    locking, each behind the functional and the OraP scan oracle (the
+    fixture's basic OraP configuration); SPS on Anti-SAT and weighted
+    locking; removal on naked random and weighted locking and on
+    resynthesised weighted locking.  Each row checks the repaired or
+    patched netlist against the original on random patterns, which cannot
+    see a point-function difference, and by a SAT miter over every value
+    of the leftover key inputs, which can ("-": no netlist came back). *)
+let structural (fx : fixture) : Report.t =
+  let nl = fx.nl in
+  let t =
+    Report.create ~title:"Structural attacks (S4)"
+      ~header:[ "Attack"; "Locking"; "Oracle"; "Result"; "Random"; "SAT" ]
+      ~aligns:(List.init 6 (fun _ -> Report.L))
+  in
+  let row attack (lk : Locked.t) queried (result, repaired) =
+    let random, sat =
+      match repaired with
+      | None -> ("-", "-")
+      | Some r ->
+        let wide = Equiv.widen nl r in
+        ( Report.b (Equiv.agrees_on_random wide r),
+          Report.b (Equiv.sat_equiv wide r = Equiv.Equivalent) )
+    in
+    Report.add_row t [ attack; lk.Locked.technique; queried; result; random; sat ]
+  in
+  let bypass lk (queried, oracle) =
+    let r = Bypass.run lk oracle in
+    row "bypass" lk queried
+      ( (match r.Bypass.outcome with
+        | Budget.Exact _ | Budget.Approximate _ ->
+          let n = List.length r.Bypass.patches in
+          Printf.sprintf "patched, %d patch%s" n (if n = 1 then "" else "es")
+        | o -> Budget.outcome_to_string o),
+        Budget.recovered r.Bypass.outcome )
+  in
+  let sps lk =
+    row "SPS" lk "none"
+      (match Sps.attack lk with
+      | None -> ("no skewed signal", None)
+      | Some (repaired, f) ->
+        ( Printf.sprintf "tied n%d (P=%.4f) to %d" f.Sps.node f.Sps.probability
+            (if f.Sps.probability < 0.5 then 0 else 1),
+          Some repaired ))
+  in
+  let removal lk =
+    let r = Removal.attack lk in
+    row "removal" lk "none"
+      ( Printf.sprintf "%d key gates removed" r.Removal.removed_key_gates,
+        Some r.Removal.netlist )
+  in
+  let key_size = Locked.key_size fx.locked in
+  let sarlock = Orap_locking.Sarlock.lock nl ~key_size:(N.num_inputs nl) in
+  bypass sarlock ("unprotected", Oracle.functional sarlock);
+  bypass sarlock
+    ("OraP scan", scan_oracle (Orap.protect ~config:fx.basic.Orap.config sarlock));
+  bypass fx.locked ("unprotected", oracle fx Functional);
+  bypass fx.locked ("OraP scan", oracle fx Orap_scan);
+  sps (Orap_locking.Antisat.lock nl ~key_size);
+  sps fx.locked;
+  removal (Orap_locking.Random_ll.lock nl ~key_size);
+  removal fx.locked;
+  removal
+    { fx.locked with
+      Locked.netlist =
+        Orap_synth.Aig.to_netlist
+          (Orap_synth.Abc_script.optimize fx.locked.Locked.netlist);
+      technique = fx.locked.Locked.technique ^ ", resynthesised" };
+  t

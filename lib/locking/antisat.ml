@@ -23,13 +23,7 @@ let lock ?(seed = 31) (nl : N.t) ~key_size : Locked.t =
     Array.init (2 * n) (fun j ->
         N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
   in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | kind ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b kind fan
-  done;
+  let map = N.copy_into ~map_inputs:false b nl map in
   let inputs = N.inputs nl in
   let xor_taps offset =
     Array.init n (fun j ->

@@ -38,19 +38,16 @@ let lock ?(seed = 13) (nl : N.t) ~key_size : Locked.t =
     Array.init key_size (fun j ->
         N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
   in
-  for i = 0 to N.num_nodes nl - 1 do
-    (match N.kind nl i with
-    | Gate.Input -> ()
-    | k ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b k fan);
+  let node i copy =
+    let c = copy () in
     match Hashtbl.find_opt site_key i with
-    | None -> ()
+    | None -> c
     | Some j ->
       (* XOR gate passes the wire when the key bit is 0, XNOR when 1 *)
       let kind = if correct_key.(j) then Gate.Xnor else Gate.Xor in
-      map.(i) <- N.Builder.add_node b kind [| map.(i); key_ids.(j) |]
-  done;
+      N.Builder.add_node b kind [| c; key_ids.(j) |]
+  in
+  let map = N.copy_into ~map_inputs:false ~node b nl map in
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   {
     Locked.original = nl;

@@ -20,13 +20,7 @@ let lock ?(seed = 29) (nl : N.t) ~key_size : Locked.t =
   let key_ids =
     Array.init k (fun j -> N.Builder.add_input ~name:(Printf.sprintf "key%d" j) b)
   in
-  for i = 0 to N.num_nodes nl - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ()
-    | kind ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b kind fan
-  done;
+  let map = N.copy_into ~map_inputs:false b nl map in
   (* match = AND_j (x_j XNOR key_j) over the first k inputs *)
   let inputs = N.inputs nl in
   let eq_bits =

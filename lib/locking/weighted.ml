@@ -66,14 +66,10 @@ let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
   List.iteri
     (fun gi group -> Hashtbl.replace site_group sites.(gi) (gi, group))
     groups;
-  for i = 0 to N.num_nodes nl - 1 do
-    (match N.kind nl i with
-    | Gate.Input -> () (* already mapped *)
-    | k ->
-      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
-      map.(i) <- N.Builder.add_node b k fan);
+  let node i copy =
+    let c = copy () in
     match Hashtbl.find_opt site_group i with
-    | None -> ()
+    | None -> c
     | Some (gi, group) ->
       (* alternate XOR/NAND and XNOR/AND flavours per gate *)
       let use_xnor = gi land 1 = 1 in
@@ -90,9 +86,9 @@ let lock ?(params : params option) (nl : N.t) ~key_size ~ctrl_inputs :
       let ctrl_kind = if use_xnor then Gate.And else Gate.Nand in
       let ctrl = N.Builder.add_node b ctrl_kind lits in
       let key_gate_kind = if use_xnor then Gate.Xnor else Gate.Xor in
-      let kg = N.Builder.add_node b key_gate_kind [| map.(i); ctrl |] in
-      map.(i) <- kg
-  done;
+      N.Builder.add_node b key_gate_kind [| c; ctrl |]
+  in
+  let map = N.copy_into ~map_inputs:false ~node b nl map in
   Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   {
     Locked.original = nl;

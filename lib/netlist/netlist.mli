@@ -77,5 +77,14 @@ val validate : t -> unit
 
 (** [copy_into builder t map] appends every node of [t] into [builder],
     rewriting fanins through [map].  With [map_inputs = false] the images
-    of the input nodes must be preset in [map]. *)
-val copy_into : ?map_inputs:bool -> Builder.builder -> t -> int array -> int array
+    of the input nodes must be preset in [map].  [node i copy] returns the
+    image of logic node [i]: [copy ()] appends the node unchanged (the
+    default); a transform may append more after it, or return another
+    image instead. *)
+val copy_into :
+  ?map_inputs:bool ->
+  ?node:(int -> (unit -> int) -> int) ->
+  Builder.builder ->
+  t ->
+  int array ->
+  int array

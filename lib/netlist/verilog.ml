@@ -72,8 +72,3 @@ let of_netlist ?(module_name = "top") (t : Netlist.t) : string =
     outputs;
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let print_to_file path ?module_name t =
-  let oc = open_out path in
-  output_string oc (of_netlist ?module_name t);
-  close_out oc

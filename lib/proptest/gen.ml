@@ -15,12 +15,6 @@ let pair a b rng =
   let y = b rng in
   (x, y)
 
-let triple a b c rng =
-  let x = a rng in
-  let y = b rng in
-  let z = c rng in
-  (x, y, z)
-
 let bool rng = Prng.bool rng
 
 let int_range lo hi rng =
@@ -170,11 +164,6 @@ let benchgen_netlist ~inputs ~outputs ~gates rng =
       num_gates = gates;
     }
 
-let profile_netlist ?(factor = 100) profile rng =
-  let p = Benchgen.scale ~factor profile in
-  benchgen_netlist ~inputs:p.Benchgen.inputs ~outputs:p.Benchgen.outputs
-    ~gates:p.Benchgen.gates rng
-
 (* --- mutation --- *)
 
 let dual = function
@@ -202,25 +191,18 @@ let mutant nl rng =
     if Array.length logic = 0 then -1 else oneof logic rng
   in
   let b = N.Builder.create ~size_hint:n () in
-  for i = 0 to n - 1 do
-    match N.kind nl i with
-    | Gate.Input -> ignore (N.Builder.add_input b)
-    | k ->
-      let fan = Array.copy (N.fanins nl i) in
-      let k =
-        if i <> target then k
-        else
-          match dual k with
-          | Some k' -> k'
-          | None ->
-            (* Mux: swap the data branches (changes the function unless the
-               branches happen to coincide) *)
-            let a = fan.(1) in
-            fan.(1) <- fan.(2);
-            fan.(2) <- a;
-            k
-      in
-      ignore (N.Builder.add_node b k fan)
-  done;
-  Array.iter (fun o -> N.Builder.mark_output b o) (N.outputs nl);
+  let map = Array.make n (-1) in
+  let node i copy =
+    if i <> target then copy ()
+    else
+      let fan = Array.map (fun f -> map.(f)) (N.fanins nl i) in
+      match dual (N.kind nl i) with
+      | Some k -> N.Builder.add_node b k fan
+      | None ->
+        (* Mux: swap the data branches (changes the function unless the
+           branches happen to coincide) *)
+        N.Builder.add_node b Gate.Mux [| fan.(0); fan.(2); fan.(1) |]
+  in
+  let map = N.copy_into ~node b nl map in
+  Array.iter (fun o -> N.Builder.mark_output b map.(o)) (N.outputs nl);
   N.Builder.finish b

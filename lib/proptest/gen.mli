@@ -13,7 +13,6 @@ val return : 'a -> 'a t
 val map : ('a -> 'b) -> 'a t -> 'b t
 val bind : 'a t -> ('a -> 'b t) -> 'b t
 val pair : 'a t -> 'b t -> ('a * 'b) t
-val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
 
 val bool : bool t
 
@@ -61,10 +60,6 @@ val netlist : ?params:netlist_params -> unit -> Orap_netlist.Netlist.t t
     to the adversarial full-vocabulary DAGs of {!netlist}. *)
 val benchgen_netlist :
   inputs:int -> outputs:int -> gates:int -> Orap_netlist.Netlist.t t
-
-(** A scaled-down Table-I profile circuit (see {!Orap_benchgen.Benchgen.scale}). *)
-val profile_netlist :
-  ?factor:int -> Orap_benchgen.Benchgen.profile -> Orap_netlist.Netlist.t t
 
 (** {1 Mutation}
 

@@ -75,7 +75,6 @@ let num_conflicts s = s.conflicts
 let num_decisions s = s.decisions
 let num_propagations s = s.propagations
 
-let value_var s v = s.assign.(v)
 let value_lit s l =
   let a = s.assign.(Lit.var l) in
   if Lit.is_neg l then -a else a

@@ -52,8 +52,5 @@ val num_conflicts : t -> int
 val num_decisions : t -> int
 val num_propagations : t -> int
 
-(** Current assignment of a variable: 1 true, -1 false, 0 unassigned. *)
-val value_var : t -> int -> int
-
-(** Current assignment of a literal under the same encoding. *)
+(** Current assignment of a literal: 1 true, -1 false, 0 unassigned. *)
 val value_lit : t -> Lit.t -> int

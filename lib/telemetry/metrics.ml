@@ -106,8 +106,6 @@ let set g v =
   g.g <- v;
   Mutex.unlock g.g_mutex
 
-let gauge_value g = g.g
-
 let observe h v =
   let b = bucket_of v in
   Mutex.lock h.h_mutex;

@@ -27,7 +27,6 @@ val add : counter -> int -> unit
 val value : counter -> int
 
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Record one observation (histograms are unit-agnostic; by convention
     latency instruments carry a [_s] suffix and take seconds). *)

@@ -1,7 +1,7 @@
 (** Golden results of the oracle-guided attacks at fixed seeds: SAT (with
     and without its proof audit), AppSAT and Double DIP on small weighted,
     SARLock and Anti-SAT circuits behind functional, noisy and rate-limited
-    oracles; the rendered S1 attack matrix; and the robustness grid's
+    oracles; the rendered S1 attack matrix and S4 structural table; and the robustness grid's
     canonical rows for all five attacks.  The digests pin every outcome,
     key bit, iteration, query and conflict count, so any change to the
     attacks' solver calls, DIP order or dispatch shows up here. *)
@@ -105,6 +105,29 @@ let test_matrix_report () =
   check Alcotest.string "S1 attack matrix digest"
     "782270f2f7cd8c3009400cb6c6c3ebdf" (md5 s)
 
+(* bypass, SPS and removal with both equivalence checks; the SAT column
+   is what tells a point-function repair from a real one *)
+let test_structural_report () =
+  let s = E.Report.render (E.Security.structural fixture) in
+  print_string s;
+  check Alcotest.string "S4 structural attacks"
+    (String.concat ""
+       [
+         "== Structural attacks (S4) ==\n";
+         "| Attack  | Locking                           | Oracle      | Result                    | Random | SAT |\n";
+         "|---------|-----------------------------------|-------------|---------------------------|--------|-----|\n";
+         "| bypass  | sarlock(k=48)                     | unprotected | patched, 1 patch          | yes    | yes |\n";
+         "| bypass  | sarlock(k=48)                     | OraP scan   | patched, 1 patch          | yes    | yes |\n";
+         "| bypass  | weighted(k=12,w=3)                | unprotected | patched, 0 patches        | no     | no  |\n";
+         "| bypass  | weighted(k=12,w=3)                | OraP scan   | patched, 0 patches        | no     | no  |\n";
+         "| SPS     | antisat(n=6)                      | none        | tied n135 (P=0.0046) to 0 | no     | no  |\n";
+         "| SPS     | weighted(k=12,w=3)                | none        | tied n152 (P=0.0044) to 0 | no     | no  |\n";
+         "| removal | random(k=12)                      | none        | 12 key gates removed      | yes    | yes |\n";
+         "| removal | weighted(k=12,w=3)                | none        | 4 key gates removed       | yes    | yes |\n";
+         "| removal | weighted(k=12,w=3), resynthesised | none        | 0 key gates removed       | no     | no  |\n";
+       ])
+    s
+
 let robustness_rows oracle noise_levels =
   let params =
     {
@@ -136,5 +159,6 @@ let suite =
     [
       tc "SAT/AppSAT/DDIP outcomes" `Quick test_attack_digest;
       tc "S1 attack matrix" `Quick test_matrix_report;
+      tc "S4 structural attacks" `Quick test_structural_report;
       tc "robustness rows, all attacks" `Quick test_robustness_rows;
     ] )

@@ -34,7 +34,11 @@ let test_bypass_collapses_on_weighted () =
      happen to be equivalent — weighted locking's wrong keys form huge
      equivalence classes) the "patched" circuit is simply wrong *)
   let lk = Orap_locking.Weighted.lock base ~key_size:12 ~ctrl_inputs:3 in
-  let r = Bypass.run ~max_patches:16 lk (Oracle.functional lk) in
+  let r =
+    Bypass.run
+      ~budget:{ Budget.default with Budget.max_iterations = 16 }
+      lk (Oracle.functional lk)
+  in
   match Budget.recovered r.Bypass.outcome with
   | None ->
     check Alcotest.bool "budget exceeded" true

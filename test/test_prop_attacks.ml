@@ -12,7 +12,7 @@ module Sat_attack = Orap_attacks.Sat_attack
 module Double_dip = Orap_attacks.Double_dip
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
-module Equiv = Orap_proptest.Equiv
+module Equiv = Orap_attacks.Equiv
 
 let keyed (lk : Locked.t) key =
   let positions = Locked.key_input_positions lk in

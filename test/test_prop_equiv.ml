@@ -7,7 +7,7 @@
 open Util
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
-module Equiv = Orap_proptest.Equiv
+module Equiv = Orap_attacks.Equiv
 module Solver = Orap_sat.Solver
 module Lit = Orap_sat.Lit
 module Dimacs = Orap_sat.Dimacs

@@ -12,7 +12,7 @@ module Sarlock = Orap_locking.Sarlock
 module Antisat = Orap_locking.Antisat
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
-module Equiv = Orap_proptest.Equiv
+module Equiv = Orap_attacks.Equiv
 
 (* the locked netlist with its key inputs fixed to [key]: an ordinary
    netlist over the regular inputs, directly comparable to the original *)

@@ -1,6 +1,6 @@
 (** Cross-layer properties: netlist IR, exporters, bit-parallel simulation.
 
-    All equivalence claims are decided by [Orap_proptest.Equiv] (SAT miter
+    All equivalence claims are decided by [Orap_attacks.Equiv] (SAT miter
     or exhaustive simulation), and failures shrink to minimal [.bench]
     counterexamples via [Orap_proptest.Shrink]. *)
 
@@ -9,7 +9,7 @@ module Bench_format = Orap_netlist.Bench_format
 module Verilog = Orap_netlist.Verilog
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
-module Equiv = Orap_proptest.Equiv
+module Equiv = Orap_attacks.Equiv
 
 (* P: every generated DAG (full vocabulary: Mux, Buf/Not, constants) is
    structurally valid and its levels bound its depth *)

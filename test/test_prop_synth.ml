@@ -12,7 +12,7 @@ module Refactor = Orap_synth.Refactor
 module Abc = Orap_synth.Abc_script
 module Prop = Orap_proptest.Prop
 module Gen = Orap_proptest.Gen
-module Equiv = Orap_proptest.Equiv
+module Equiv = Orap_attacks.Equiv
 
 (* P: netlist -> AIG -> netlist is the identity on function (miter) *)
 let prop_aig_roundtrip =
